@@ -72,8 +72,8 @@ health-smoke:
 	$(GO) run ./cmd/icegated -health-smoke
 
 # DAG-engine acceptance drill: the examples/dag specs against
-# self-deployed labs. The cv_classic.json graph must reproduce the
-# hardwired cv job's measurement digest and ML verdict bit for bit;
+# self-deployed labs. A cv job and the cv_classic.json graph must both
+# reproduce the pinned measurement digest, with the same ML verdict;
 # resubmitting it must serve every cacheable node from the
 # content-keyed cache with the instrument untouched; a kill -9
 # mid-DAG must resume exactly once from the checkpoint journal; and

@@ -181,11 +181,11 @@ func runClusterSmoke(dir string) error {
 			}
 			grab := &smokeGrabRunner{inner: lr, ctxs: make(map[string]context.Context)}
 			lr.OnTask = func(jobID string, rec workflow.TaskRecord) {
-				if rec.TaskID != "C" || rec.Status != "OK" {
+				if rec.TaskID != "c_fill" || rec.Status != "OK" {
 					return
 				}
 				crashOnce.Do(func() {
-					log.Printf("cluster-smoke: killing facility A's gateway at the C→D task boundary of %s", jobID)
+					log.Printf("cluster-smoke: killing facility A's gateway after the c_fill checkpoint of %s", jobID)
 					go func() {
 						srvA.Close()
 						nodeA.Kill()

@@ -43,10 +43,11 @@ func (r *grabRunner) ctx(id string) context.Context {
 
 // runDAGSmoke is the DAG-engine acceptance drill (make dag-smoke):
 //
-//  1. equivalence — the shipped examples/dag/cv_classic.json spec, run
-//     on a fresh simulated lab, must reproduce the hardwired cv job's
-//     measurement bit for bit (same SHA-256) and the same ML normality
-//     verdict on an equally fresh lab;
+//  1. equivalence — a cv job on a fresh simulated lab must reproduce
+//     the pinned measurement digest of the paper's workflow, and the
+//     shipped examples/dag/cv_classic.json spec, run on an equally
+//     fresh lab, must reproduce it bit for bit (same SHA-256) with the
+//     same ML normality verdict;
 //  2. caching — resubmitting the identical spec serves every cacheable
 //     node (acquire/retrieve/analyze/classify) from the content-keyed
 //     cache: the audit journal still shows exactly one acquisition,
@@ -60,6 +61,10 @@ func (r *grabRunner) ctx(id string) context.Context {
 //     instrument/WAN phases) completes with both analyze branches;
 //  5. no leases or goroutines leak.
 func runDAGSmoke(dir string) error {
+	// The default cv program's measurement on a fresh lab, pinned from
+	// the hardwired tasks A–E runner that cv jobs used to run through.
+	const pinnedSHA256 = "1b29587c5573f287227b212ee427652dc0621051e76a765978e01611fa8441d2"
+
 	if err := os.RemoveAll(dir); err != nil {
 		return err
 	}
@@ -78,7 +83,7 @@ func runDAGSmoke(dir string) error {
 		return err
 	}
 
-	// Drill 1a: the classic hardwired cv job on lab A.
+	// Drill 1a: a cv job (the compiled cv_classic graph) on lab A.
 	labA, schedA, err := smokeLab(filepath.Join(dir, "a"))
 	if err != nil {
 		return err
@@ -96,13 +101,16 @@ func runDAGSmoke(dir string) error {
 	defer schedA.s.Stop()
 	classicJob, err := smokeRun(schedA.s, sched.JobSpec{Tenant: "acl", Kind: sched.KindCV})
 	if err != nil {
-		return fmt.Errorf("classic cv job: %v", err)
+		return fmt.Errorf("cv job: %v", err)
 	}
 	var classic sched.CVResult
 	if err := json.Unmarshal(classicJob.Result, &classic); err != nil {
 		return err
 	}
-	log.Printf("dag-smoke: classic path measured %s sha %.12s verdict %q",
+	if classic.SHA256 != pinnedSHA256 {
+		return fmt.Errorf("cv job measured sha %.12s, pinned %.12s", classic.SHA256, pinnedSHA256)
+	}
+	log.Printf("dag-smoke: cv job measured %s sha %.12s (pinned) verdict %q",
 		classic.File, classic.SHA256, classic.ClassName)
 
 	// Drill 1b: the same experiment as a declarative DAG on fresh lab B.
@@ -132,15 +140,15 @@ func runDAGSmoke(dir string) error {
 		return err
 	}
 	if got := res["d_retrieve"].Digest; got != classic.SHA256 {
-		return fmt.Errorf("digest equivalence FAILED: dag %.12s vs classic %.12s", got, classic.SHA256)
+		return fmt.Errorf("digest equivalence FAILED: dag %.12s vs cv job %.12s", got, classic.SHA256)
 	}
 	if got := res["d_analyze"].Points; got != classic.Points {
-		return fmt.Errorf("points diverged: dag %d vs classic %d", got, classic.Points)
+		return fmt.Errorf("points diverged: dag %d vs cv job %d", got, classic.Points)
 	}
 	if got := res["d_classify"].ClassName; got != classic.ClassName {
-		return fmt.Errorf("verdict diverged: dag %q vs classic %q", got, classic.ClassName)
+		return fmt.Errorf("verdict diverged: dag %q vs cv job %q", got, classic.ClassName)
 	}
-	log.Printf("dag-smoke: DAG path digest-identical to classic (%.12s…) with matching verdict %q",
+	log.Printf("dag-smoke: DAG job digest-identical to the cv job (%.12s…) with matching verdict %q",
 		classic.SHA256, classic.ClassName)
 
 	// Drill 2: resubmit the identical spec — cacheable nodes hit, the

@@ -89,10 +89,10 @@ func runHealthSmoke(dir string) error {
 		return err
 	}
 
-	// The fault arms at an exact task boundary: the moment task C (the
+	// The fault arms at an exact node boundary: the moment c_fill (the
 	// cell fill) checkpoints OK, the potentiostat wedges — commands
-	// still answer, but acquisition streaming stalls. Task D's acquire
-	// budget is the only thing that can catch it.
+	// still answer, but acquisition streaming stalls. The d_acquire
+	// node's budget is the only thing that can catch it.
 	sp := d.Agent.SP200()
 	var wedgeOnce sync.Once
 	s.SetRunner(&sched.LabRunner{
@@ -103,10 +103,10 @@ func runHealthSmoke(dir string) error {
 		WaitTimeout:   30 * time.Second,
 		AcquireBudget: 1500 * time.Millisecond,
 		OnTask: func(jobID string, rec workflow.TaskRecord) {
-			if rec.TaskID == "C" && rec.Status == "OK" {
+			if rec.TaskID == "c_fill" && rec.Status == "OK" {
 				wedgeOnce.Do(func() {
 					sp.InjectFault(potentiostat.DeviceFault{Mode: potentiostat.FaultWedgeBusy})
-					log.Printf("health-smoke: wedged the potentiostat after task C (job %s)", jobID)
+					log.Printf("health-smoke: wedged the potentiostat after the c_fill node (job %s)", jobID)
 				})
 			}
 		},

@@ -76,7 +76,6 @@ func main() {
 	reliable := flag.Bool("reliable", false, "retry instrument commands across transport faults with exactly-once semantics")
 	reliableData := flag.Bool("reliable-data", false, "self-healing data mount: redial and resume interrupted transfers")
 	wire := flag.String("wire", "v2", "control-channel framing towards the agent: v2 negotiates the compact binary protocol (falling back against old agents), v1 pins the legacy JSON framing")
-	streamAnalysis := flag.Bool("stream-analysis", false, "cv jobs: tail the measurement file during acquisition and analyze online, so the verdict is ready at instrument release")
 
 	traceExport := flag.String("trace-export", "", "append finished trace spans to this JSONL file (crash-safe batched writes; view with icetrace)")
 	traceSample := flag.Float64("trace-sample", 1, "head-sampling ratio for traces (errors and flight-recorder dumps are always kept)")
@@ -91,7 +90,7 @@ func main() {
 	traceSmoke := flag.Bool("trace-smoke", false, "one-shot trace self-test: selflab two-cell campaign, fetch its trace, verify the span tree and critical-path partition, exit")
 	clusterSmoke := flag.Bool("cluster-smoke", false, "one-shot federation self-test: two in-process facility gateways over one lab, kill one mid-CV, the peer must adopt via the replicated WAL within 10s and finish exactly once, exit")
 	healthSmoke := flag.Bool("health-smoke", false, "one-shot health drill: wedge the simulated potentiostat mid-acquisition, the breaker must quarantine it, checkpoint-requeue the job, recover via a probe and finish exactly once, exit")
-	dagSmoke := flag.Bool("dag-smoke", false, "one-shot DAG drill: run the examples/dag specs against a selflab, assert digest equivalence with the classic cv path, cache hits on re-run, and crash-resume exactly once, exit")
+	dagSmoke := flag.Bool("dag-smoke", false, "one-shot DAG drill: run the examples/dag specs against a selflab, assert digest equivalence with the pinned cv measurement, cache hits on re-run, and crash-resume exactly once, exit")
 	labSmoke := flag.Bool("lab-smoke", false, "one-shot registry drill: bring up examples/labs/microscopy.yaml from config alone, run a mixed cv+scan workload, assert exactly-once audit and zero leaked leases/goroutines, exit")
 	flag.Parse()
 
@@ -259,7 +258,6 @@ func main() {
 					Resources:        cluster.FacilityResources(fac),
 					MirrorJournal:    n.MirrorJournal,
 					CampaignCVPoints: *campaignPoints,
-					StreamAnalysis:   *streamAnalysis,
 					Metrics:          n.Scheduler().Metrics(),
 					CacheMaxBytes:    *dagCacheMax,
 				}
@@ -302,7 +300,6 @@ func main() {
 		Leases:           s.Leases(),
 		Dir:              s.Dir(),
 		CampaignCVPoints: *campaignPoints,
-		StreamAnalysis:   *streamAnalysis,
 		Metrics:          s.Metrics(),
 		CacheMaxBytes:    *dagCacheMax,
 	})

@@ -5,9 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -38,32 +36,10 @@ type CVWorkflowConfig struct {
 	// measurement file.
 	WaitPoll    time.Duration
 	WaitTimeout time.Duration
-	// AcquireTimeout, when > 0, bounds task D's instrument hold (the
-	// eight-step SP200 pipeline through call_Get_Tech_Path_Rslt) with
-	// a per-phase sub-budget: the deadline is bound into the session's
-	// call context, so a potentiostat wedged mid-acquire surfaces as a
-	// budget error in seconds instead of riding out the full workflow
-	// timeout or lease TTL. The scheduler treats a fired acquire
-	// budget as hard evidence the instrument is sick.
-	AcquireTimeout time.Duration
 	// ProgressPoll, when > 0, logs the measurement file's growth into
 	// the transcript while acquisition is in flight (real-time
 	// monitoring over the pipelined control/data channels).
 	ProgressPoll time.Duration
-	// OnMeasured, when set, is called inside task D the moment
-	// call_Get_Tech_Path_Rslt returns — acquisition has finished
-	// streaming to the agent's disk and the instruments are free, but
-	// the WAN retrieval and analysis are still ahead. The scheduling
-	// gateway releases its instrument lease here, the same point a
-	// fleet's shared gate releases, so one tenant's data phase overlaps
-	// the next tenant's instrument time.
-	OnMeasured func(fileName string)
-	// TeardownGate, when set, is held around task E's instrument
-	// shutdown. A multi-tenant scheduler that released its instrument
-	// lease at OnMeasured re-acquires it here, so one tenant's
-	// disconnect cannot fire inside another tenant's acquisition
-	// pipeline on the shared instrument.
-	TeardownGate sync.Locker
 	// TraceLabel names this workflow's holder in phase spans (usually
 	// the job or cell ID); the critical-path analyzer uses it to tell
 	// one tenant's data phase from another's instrument phase when
@@ -256,19 +232,13 @@ func BuildCVWorkflow(session *RemoteSession, mount datachan.Share, cfg CVWorkflo
 			}()
 			// Phase 1 — instrument hold: the eight-step SP200 pipeline
 			// through call_Get_Tech_Path_Rslt. The span ends the moment
-			// the instruments are free (the same point OnMeasured
-			// releases the gateway's lease), so instrument-hold time in
-			// the trace matches the lease the scheduler accounts.
+			// the instruments are free, so instrument-hold time in the
+			// trace matches the time the instrument was busy.
 			acquireCtx, acquireSpan := phase(c, "cv.acquire", trace.ClassInstrument)
-			cancelAcquire := func() {}
-			if cfg.AcquireTimeout > 0 {
-				var cancel context.CancelFunc
-				acquireCtx, cancel = context.WithTimeout(acquireCtx, cfg.AcquireTimeout)
-				cancelAcquire = cancel
-			}
 			session.BindTraceContext(acquireCtx)
-			// Bind the phase context so its deadline bounds every SP200
-			// call in the pipeline, including the blocking step-7 wait.
+			// Bind the phase context so its cancellation aborts every
+			// SP200 call in the pipeline, including the blocking step-7
+			// wait.
 			session.BindCallContext(acquireCtx)
 			fileName, err := func() (string, error) {
 				steps := []struct {
@@ -395,24 +365,13 @@ func BuildCVWorkflow(session *RemoteSession, mount datachan.Share, cfg CVWorkflo
 			}()
 			acquireDone.Store(true)
 			outcome.AcquireEnd = time.Now()
-			budgetFired := cfg.AcquireTimeout > 0 &&
-				errors.Is(acquireCtx.Err(), context.DeadlineExceeded) && c.Ctx.Err() == nil
-			cancelAcquire()
 			session.BindCallContext(c.Ctx)
-			if err != nil && budgetFired {
-				// Attribute the timeout to the instrument: the job's own
-				// deadline had not arrived, so this phase hung.
-				err = fmt.Errorf("sp200 acquire phase exceeded its %v budget: %w", cfg.AcquireTimeout, err)
-			}
 			acquireSpan.EndErr(err)
 			session.BindTraceContext(c.Ctx)
 			if err != nil {
 				return "", err
 			}
 			c.Logf("(7) measurements are collected: %s", fileName)
-			if cfg.OnMeasured != nil {
-				cfg.OnMeasured(fileName)
-			}
 
 			// Streamed completion: the tail-reader drains the last
 			// bytes, the accumulated stream is digest-verified, and the
@@ -608,10 +567,6 @@ func BuildCVWorkflow(session *RemoteSession, mount datachan.Share, cfg CVWorkflo
 		DependsOn: []string{"A"},
 		Run: func(c *workflow.Context) (string, error) {
 			session.BindTraceContext(c.Ctx)
-			if cfg.TeardownGate != nil {
-				cfg.TeardownGate.Lock()
-				defer cfg.TeardownGate.Unlock()
-			}
 			out, err := session.CallExitJKemAPI()
 			if err != nil {
 				return "", err

@@ -385,6 +385,9 @@ func (e *Engine) runNode(ctx context.Context, n *Node, restored map[string]*Node
 	if prior, ok := restored[n.ID]; ok {
 		if usable := e.restorable(n, prior); usable {
 			span.SetAttr("restored", "true")
+			// Checkpoint-resume stitching, as the notebook does for its
+			// tasks: the run span notes where the resumed attempt picked up.
+			trace.SpanFromContext(ctx).Event("task.restored", "task", n.ID)
 			e.commit(n, prior, nil, res, "restored")
 			span.End()
 			return nil

@@ -3,6 +3,7 @@ package dag
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -58,9 +59,15 @@ type LabExecutor struct {
 	WaitPoll    time.Duration
 	WaitTimeout time.Duration
 	// Classifier, when set, overrides seed-derived training for
-	// ml-classify nodes (the smoke drills share one trained ensemble
-	// between the classic and DAG paths this way).
+	// ml-classify nodes (a gateway shares one trained ensemble across
+	// jobs this way).
 	Classifier *ml.Ensemble
+	// AcquireBudget bounds an acquire node's instrument hold (the
+	// pipeline through call_Get_Tech_Path_Rslt). When zero and the node
+	// runs under a deadline, the budget is 60% of what remains, so a
+	// wedged potentiostat surfaces as a phase timeout in seconds rather
+	// than riding out the lease TTL.
+	AcquireBudget time.Duration
 }
 
 func (x *LabExecutor) waitPoll() time.Duration {
@@ -140,39 +147,61 @@ func (x *LabExecutor) runFill(ctx context.Context, n *Node) (*NodeResult, []byte
 }
 
 // runAcquire drives the six-step SP200 pipeline plus the blocking
-// result wait. inv.OnMeasured fires as soon as the remote file
-// exists — the acquire→retrieve boundary where the engine can release
-// the instrument gate. The node's digest is the export-side SHA-256,
-// read over the data channel after the instrument is free.
+// result wait under the acquire-phase budget. inv.OnMeasured fires as
+// soon as the remote file exists — the acquire→retrieve boundary where
+// the engine can release the instrument gate. The node's digest is the
+// export-side SHA-256, read over the data channel after the instrument
+// is free.
 func (x *LabExecutor) runAcquire(ctx context.Context, inv *Invocation) (*NodeResult, []byte, error) {
 	n := inv.Node
+	budget := x.acquireBudget(ctx)
+	acqCtx := ctx
+	if budget > 0 {
+		var cancel context.CancelFunc
+		acqCtx, cancel = context.WithTimeout(ctx, budget)
+		defer cancel()
+	}
 	x.Session.BindTraceContext(ctx)
-	x.Session.BindCallContext(ctx)
-	defer x.Session.BindCallContext(nil)
-	// Clear any stale SP200 state from a previous node or crashed
-	// attempt, exactly as the hardwired workflow does before task D.
-	if err := x.Session.ResetSP200(); err != nil {
-		return nil, nil, fmt.Errorf("reset sp200: %w", err)
-	}
-	steps := []struct {
-		label string
-		call  func() (string, error)
-	}{
-		{"call_Initialize_SP200_API", func() (string, error) { return x.Session.CallInitializeSP200API(n.Acquire.System) }},
-		{"call_Connect_SP200", x.Session.CallConnectSP200},
-		{"call_Load_Firmware_SP200", x.Session.CallLoadFirmwareSP200},
-		{"call_Initialize_CV_Tech_SP200", func() (string, error) { return x.Session.CallInitializeCVTechSP200(n.Acquire.CV) }},
-		{"call_Load_Technique_SP200", x.Session.CallLoadTechniqueSP200},
-		{"call_Start_Channel_SP200", x.Session.CallStartChannelSP200},
-	}
-	for i, s := range steps {
-		if _, err := s.call(); err != nil {
-			return nil, nil, fmt.Errorf("step %d %s: %w", i+1, s.label, err)
+	// The bound phase context's deadline bounds every SP200 call in the
+	// pipeline, including the blocking step-7 wait.
+	x.Session.BindCallContext(acqCtx)
+	defer x.Session.BindCallContext(ctx)
+	fileName, err := func() (string, error) {
+		// Clear any stale SP200 state from a previous node or crashed
+		// attempt before the full bring-up.
+		if err := x.Session.ResetSP200(); err != nil {
+			return "", fmt.Errorf("reset sp200: %w", err)
 		}
-	}
-	fileName, err := x.Session.CallGetTechPathRslt()
+		steps := []struct {
+			label string
+			call  func() (string, error)
+		}{
+			{"call_Initialize_SP200_API", func() (string, error) { return x.Session.CallInitializeSP200API(n.Acquire.System) }},
+			{"call_Connect_SP200", x.Session.CallConnectSP200},
+			{"call_Load_Firmware_SP200", x.Session.CallLoadFirmwareSP200},
+			{"call_Initialize_CV_Tech_SP200", func() (string, error) { return x.Session.CallInitializeCVTechSP200(n.Acquire.CV) }},
+			{"call_Load_Technique_SP200", x.Session.CallLoadTechniqueSP200},
+			{"call_Start_Channel_SP200", x.Session.CallStartChannelSP200},
+		}
+		for i, s := range steps {
+			if _, err := s.call(); err != nil {
+				return "", fmt.Errorf("step %d %s: %w", i+1, s.label, err)
+			}
+		}
+		fileName, err := x.Session.CallGetTechPathRslt()
+		if err != nil {
+			return "", fmt.Errorf("step 7 call_Get_Tech_Path_Rslt: %w", err)
+		}
+		return fileName, nil
+	}()
 	if err != nil {
-		return nil, nil, fmt.Errorf("step 7 call_Get_Tech_Path_Rslt: %w", err)
+		if budget > 0 && errors.Is(acqCtx.Err(), context.DeadlineExceeded) && ctx.Err() == nil {
+			// The node's own deadline had not arrived, so this phase hung:
+			// the "exceeded its" text is the wedge marker the health
+			// classifier keys on, and "sp200" names the instrument.
+			err = fmt.Errorf("sp200 acquire phase exceeded its %v budget: %w", budget, err)
+		}
+		return nil, nil, err
 	}
 	if inv.OnMeasured != nil {
 		inv.OnMeasured(fileName)
@@ -187,6 +216,22 @@ func (x *LabExecutor) runAcquire(ctx context.Context, inv *Invocation) (*NodeRes
 		Digest: remoteSum,
 		Output: fmt.Sprintf("measured %s (%d bytes)", fileName, remoteSize),
 	}, nil, nil
+}
+
+// acquireBudget picks the acquire-phase budget: AcquireBudget when
+// set, else 60% of the time left before ctx's deadline, else none.
+func (x *LabExecutor) acquireBudget(ctx context.Context) time.Duration {
+	if x.AcquireBudget > 0 {
+		return x.AcquireBudget
+	}
+	dl, ok := ctx.Deadline()
+	if !ok {
+		return 0
+	}
+	if remaining := time.Until(dl); remaining > 0 {
+		return remaining * 6 / 10
+	}
+	return 0
 }
 
 // runRetrieve pulls the acquire dependency's measurement over the

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"ice/internal/core"
+	"ice/internal/dag"
 	"ice/internal/netsim"
 	"ice/internal/sched"
 )
@@ -16,11 +17,24 @@ import (
 // TestClassicConfigEquivalence is the registry's no-regression gate:
 // the echem_classic.yaml config must materialize a facility whose cv
 // run is indistinguishable from the old hardcoded -selflab deployment
-// — same measurement digest, same point count, same ML verdict. If
-// this fails, the config file and the compiled-in lab have drifted
-// apart and one of them is lying about the paper's deployment.
+// — same measurement digest, same point count, same ML verdict — and
+// both must reproduce the measurement pinned from the hardwired tasks
+// A–E runner. If this fails, the config file and the compiled-in lab
+// have drifted apart, or the cv job no longer measures what the
+// paper's workflow measured.
 func TestClassicConfigEquivalence(t *testing.T) {
 	spec := sched.JobSpec{Tenant: "acl", Kind: sched.KindCV, Points: 600}
+	golden := sched.CVResult{
+		File:         "CV_ch1_run001.mpt",
+		SHA256:       "ac2973e57e1c22693355215ec3eccb315913e43adfcae61a482cef0ab5681955",
+		Points:       601,
+		AnodicPeakUA: 40.28399,
+		ClassName:    "normal",
+	}
+	clf, err := dag.ClassifierForSeed(dag.DefaultClassifierSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	runCV := func(t *testing.T, connector sched.Connector, dir string) sched.CVResult {
 		t.Helper()
@@ -28,7 +42,7 @@ func TestClassicConfigEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.SetRunner(&sched.LabRunner{Connector: connector, Leases: s.Leases(), Dir: s.Dir()})
+		s.SetRunner(&sched.LabRunner{Connector: connector, Leases: s.Leases(), Dir: s.Dir(), Classifier: clf})
 		if err := s.Start(); err != nil {
 			t.Fatal(err)
 		}
@@ -94,5 +108,8 @@ func TestClassicConfigEquivalence(t *testing.T) {
 	}
 	if declared.ClassName != classic.ClassName {
 		t.Errorf("ML verdict drifted: declared %q, classic %q", declared.ClassName, classic.ClassName)
+	}
+	if classic != golden {
+		t.Errorf("cv measurement drifted from the pinned golden: got %+v, want %+v", classic, golden)
 	}
 }

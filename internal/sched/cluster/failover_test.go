@@ -19,7 +19,7 @@ import (
 // TestClusterFailoverKillDashNineExactlyOnce is the ISSUE's headline
 // acceptance drill: facility A's gateway is killed (kill -9 — no
 // goodbye, no flush beyond what replication already acknowledged)
-// right after the CV workflow's task C filled the electrochemical
+// right after the cv graph's c_fill node filled the electrochemical
 // cell. Facility B's gateway must detect the silence, pass the
 // fencing probe (A's lab still answers — crashed gateway, live
 // facility), replay the replicated WAL, install the replicated
@@ -55,7 +55,7 @@ func TestClusterFailoverKillDashNineExactlyOnce(t *testing.T) {
 	dirA := filepath.Join(base, "state-a")
 	dirB := filepath.Join(base, "state-b")
 
-	// Node A, rigged to die at the C→D task boundary.
+	// Node A, rigged to die once the fill (node c_fill) checkpoints.
 	killed := make(chan struct{})
 	var crashOnce sync.Once
 	var srvA *http.Server
@@ -70,7 +70,7 @@ func TestClusterFailoverKillDashNineExactlyOnce(t *testing.T) {
 		}
 		grab := newGrabRunner(lr)
 		lr.OnTask = func(jobID string, rec workflow.TaskRecord) {
-			if rec.TaskID != "C" || rec.Status != "OK" {
+			if rec.TaskID != "c_fill" || rec.Status != "OK" {
 				return
 			}
 			// Runs inside the worker goroutine; Kill waits for that

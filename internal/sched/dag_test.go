@@ -7,12 +7,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"ice/internal/core"
 	"ice/internal/dag"
+	"ice/internal/ml"
 	"ice/internal/netsim"
 	"ice/internal/workflow"
 )
@@ -79,42 +81,91 @@ func exampleDAG(t *testing.T, name string) json.RawMessage {
 	return data
 }
 
-// TestDAGJobMatchesClassicCV is the headline equivalence drill: the
-// shipped cv_classic.json DAG, run on a fresh lab, must produce a
-// measurement digest-identical to the hardwired cv job on an equally
-// fresh lab — and the same ML normality verdict — then hit the
-// content-keyed cache on resubmission without touching the
-// instrument again.
+// goldenCV pins what a cv job measures on a fresh lab, recorded from
+// the hardwired tasks A–E runner before cv jobs became a compiled
+// graph: the measurement digest, point count, anodic peak and the ML
+// verdict of the seed-7 classifier.
+type goldenCV struct {
+	spec   JobSpec
+	sha256 string
+	points int
+	peakUA float64
+	class  string
+}
+
+var goldenCVs = []goldenCV{
+	{JobSpec{Tenant: "acl", Kind: KindCV},
+		"1b29587c5573f287227b212ee427652dc0621051e76a765978e01611fa8441d2", 1201, 40.58659, "normal"},
+	{JobSpec{Tenant: "acl", Kind: KindCV, Points: 400, ScanRateMVs: 75},
+		"0bd19a8f6d0b80b8da9f4d75904788c93de820cd1e2fefa06911164e1aa7bc48", 401, 49.1082, "normal"},
+}
+
+// runCVOnFreshLab runs one cv job on a fresh lab with the given
+// classifier and returns its result.
+func runCVOnFreshLab(t *testing.T, spec JobSpec, clf *ml.Ensemble) CVResult {
+	t.Helper()
+	d, _ := deployLab(t)
+	s, err := New(Config{Dir: filepath.Join(t.TempDir(), "state"), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetRunner(&LabRunner{
+		Connector:  &DeploymentConnector{D: d, Host: netsim.HostDGX},
+		Leases:     s.Leases(),
+		Dir:        s.Dir(),
+		Classifier: clf,
+	})
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Stop()
+	job := runJob(t, s, spec)
+	var res CVResult
+	if err := json.Unmarshal(job.Result, &res); err != nil {
+		t.Fatal(err)
+	}
+	if got := measuredFile(t, s, job.ID); got != res.File {
+		t.Errorf("cv job's measured event names %q, result file %q", got, res.File)
+	}
+	return res
+}
+
+// measuredFile returns the message of the job's "measured" event —
+// the acquire→retrieve boundary on its event stream — or "".
+func measuredFile(t *testing.T, s *Scheduler, id string) string {
+	t.Helper()
+	past, _, unsub, err := s.Events(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unsub()
+	for _, ev := range past {
+		if ev.Type == "measured" {
+			return ev.Message
+		}
+	}
+	return ""
+}
+
+// TestDAGJobMatchesClassicCV is the headline equivalence drill: cv jobs
+// (default and with points/scan-rate overrides) must reproduce the
+// pinned measurement of the hardwired runner, and the shipped
+// cv_classic.json DAG, run on an equally fresh lab, must produce the
+// same digest, points and verdict — then hit the content-keyed cache
+// on resubmission without touching the instrument again.
 func TestDAGJobMatchesClassicCV(t *testing.T) {
 	clf, err := dag.ClassifierForSeed(dag.DefaultClassifierSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Classic path on lab A.
-	dA, _ := deployLab(t)
-	sA, err := New(Config{Dir: filepath.Join(t.TempDir(), "state"), Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+	for _, g := range goldenCVs {
+		got := runCVOnFreshLab(t, g.spec, clf)
+		if got.SHA256 != g.sha256 || got.Points != g.points || got.AnodicPeakUA != g.peakUA || got.ClassName != g.class {
+			t.Errorf("cv job points=%d rate=%v = %+v, pinned sha %s points %d peak %v verdict %q",
+				g.spec.Points, g.spec.ScanRateMVs, got, g.sha256, g.points, g.peakUA, g.class)
+		}
 	}
-	sA.SetRunner(&LabRunner{
-		Connector:  &DeploymentConnector{D: dA, Host: netsim.HostDGX},
-		Leases:     sA.Leases(),
-		Dir:        sA.Dir(),
-		Classifier: clf,
-	})
-	if err := sA.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer sA.Stop()
-	classicJob := runJob(t, sA, JobSpec{Tenant: "acl", Kind: KindCV})
-	var classic CVResult
-	if err := json.Unmarshal(classicJob.Result, &classic); err != nil {
-		t.Fatal(err)
-	}
-	if classic.SHA256 == "" || classic.ClassName == "" {
-		t.Fatalf("classic result incomplete: %+v", classic)
-	}
+	classic := goldenCVs[0]
 
 	// DAG path on fresh lab B.
 	dB, labB := deployLab(t)
@@ -143,17 +194,23 @@ func TestDAGJobMatchesClassicCV(t *testing.T) {
 	for _, n := range res.Nodes {
 		nodes[n.Node] = n
 	}
-	if got := nodes["d_retrieve"].Digest; got != classic.SHA256 {
-		t.Errorf("DAG measurement digest %s, classic %s — paths diverged", got, classic.SHA256)
+	if got := nodes["d_retrieve"].Digest; got != classic.sha256 {
+		t.Errorf("DAG measurement digest %s, classic %s — paths diverged", got, classic.sha256)
 	}
-	if got := nodes["d_analyze"].Points; got != classic.Points {
-		t.Errorf("DAG points %d, classic %d", got, classic.Points)
+	if got := nodes["d_analyze"].Points; got != classic.points {
+		t.Errorf("DAG points %d, classic %d", got, classic.points)
 	}
-	if got := nodes["d_classify"].ClassName; got != classic.ClassName {
-		t.Errorf("DAG verdict %q, classic %q", got, classic.ClassName)
+	if got := nodes["d_analyze"].AnodicPeakUA; got != classic.peakUA {
+		t.Errorf("DAG anodic peak %v, classic %v", got, classic.peakUA)
+	}
+	if got := nodes["d_classify"].ClassName; got != classic.class {
+		t.Errorf("DAG verdict %q, classic %q", got, classic.class)
 	}
 	if res.NodesRun != len(res.Nodes) {
 		t.Errorf("first run: %d/%d nodes live", res.NodesRun, len(res.Nodes))
+	}
+	if got := measuredFile(t, sB, dagJob.ID); got != nodes["d_acquire"].File {
+		t.Errorf("dag job's measured event names %q, acquire node file %q", got, nodes["d_acquire"].File)
 	}
 
 	// Resubmission: every cacheable node (acquire, retrieve, analyze,
@@ -180,6 +237,59 @@ func TestDAGJobMatchesClassicCV(t *testing.T) {
 	}
 	if active := sB.Leases().Active(); len(active) != 0 {
 		t.Fatalf("leaked leases: %+v", active)
+	}
+}
+
+// TestCompiledCVMatchesShippedGraph holds the Go-compiled cv graph to
+// examples/dag/cv_classic.json node for node — IDs, types, needs and
+// spec digests (which ignore nocache) — so the two cannot drift apart.
+// The one allowed difference is whether d_classify is present.
+func TestCompiledCVMatchesShippedGraph(t *testing.T) {
+	shipped, err := dag.DecodeSpec(exampleDAG(t, "cv_classic.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, classify := range []bool{true, false} {
+		// The JSON round trip resolves defaults exactly as the engine
+		// does, and proves the compiled graph passes admission rules.
+		data, err := json.Marshal(compileCV(JobSpec{Tenant: "acl", Kind: KindCV}, classify))
+		if err != nil {
+			t.Fatal(err)
+		}
+		compiled, err := dag.DecodeSpec(data)
+		if err != nil {
+			t.Fatalf("classify=%v: compiled graph invalid: %v", classify, err)
+		}
+		if compiled.Name != shipped.Name {
+			t.Errorf("classify=%v: name %q, shipped %q", classify, compiled.Name, shipped.Name)
+		}
+		byID := make(map[string]*dag.Node, len(compiled.Nodes))
+		for _, n := range compiled.Nodes {
+			if !n.NoCache {
+				t.Errorf("classify=%v: compiled node %s is cacheable; cv jobs always measure afresh", classify, n.ID)
+			}
+			byID[n.ID] = n
+		}
+		want := len(shipped.Nodes)
+		if !classify {
+			want--
+		}
+		if len(byID) != want {
+			t.Errorf("classify=%v: compiled graph has %d nodes, want %d", classify, len(byID), want)
+		}
+		for _, sn := range shipped.Nodes {
+			cn, ok := byID[sn.ID]
+			if !ok {
+				if classify || sn.ID != "d_classify" {
+					t.Errorf("classify=%v: compiled graph lacks node %s", classify, sn.ID)
+				}
+				continue
+			}
+			if cn.Type != sn.Type || !slices.Equal(cn.Needs, sn.Needs) || cn.SpecDigest() != sn.SpecDigest() {
+				t.Errorf("classify=%v: node %s drifted: compiled %s needs %v, shipped %s needs %v (or spec digest differs)",
+					classify, sn.ID, cn.Type, cn.Needs, sn.Type, sn.Needs)
+			}
+		}
 	}
 }
 

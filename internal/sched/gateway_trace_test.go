@@ -18,9 +18,10 @@ import (
 
 // TestGatewayTraceEndToEnd is the ISSUE's acceptance drill: submit a
 // cv job through POST /v1/jobs, fetch its trace by the returned trace
-// ID, and verify the span tree runs scheduler → workflow tasks A–E →
-// pyro RPCs → data-channel retrieval with every span parented, and
-// that the critical-path breakdown partitions the job's wall time.
+// ID, and verify the span tree runs scheduler → the cv graph's nodes
+// (tasks A–E) → pyro RPCs → data-channel retrieval with every span
+// parented, and that the critical-path breakdown partitions the job's
+// wall time.
 func TestGatewayTraceEndToEnd(t *testing.T) {
 	base := t.TempDir()
 	labDir := filepath.Join(base, "lab")
@@ -100,8 +101,9 @@ func TestGatewayTraceEndToEnd(t *testing.T) {
 		"job " + job.ID, // scheduler root
 		"sched.queued", "sched.run", "sched.connect",
 		"lease.acquire", "lease.held",
-		"task A", "task B", "task C", "task D", "task E", // workflow tasks
-		"cv.fill", "cv.acquire", "cv.retrieve", "cv.analyze",
+		"dag.a_jkem", "dag.a_sp200", "dag.b_gas", "dag.b_vial", "dag.b_temp", // tasks A–B
+		"dag.c_fill", "dag.d_acquire", "dag.d_retrieve", "dag.d_analyze", // tasks C–D
+		"dag.e_exit", "dag.e_disconnect", // task E
 	}
 	for _, name := range wantSpans {
 		if !hasSpan(tr.Spans, name) {
@@ -124,21 +126,24 @@ func TestGatewayTraceEndToEnd(t *testing.T) {
 		t.Errorf("trace has %d orphaned spans: %v", len(orphans), orphans)
 	}
 
-	// The cv.retrieve span is the data phase, parented under task D.
-	var retrieve, taskD *trace.Record
+	// The dag.d_retrieve span is the data phase, in the job's span tree.
+	byID := make(map[string]*trace.Record, len(tr.Spans))
+	var retrieve *trace.Record
 	for i := range tr.Spans {
-		switch tr.Spans[i].Name {
-		case "cv.retrieve":
+		byID[tr.Spans[i].SpanID] = &tr.Spans[i]
+		if tr.Spans[i].Name == "dag.d_retrieve" {
 			retrieve = &tr.Spans[i]
-		case "task D":
-			taskD = &tr.Spans[i]
 		}
 	}
 	if retrieve.Class != trace.ClassData {
-		t.Errorf("cv.retrieve class = %q, want %q", retrieve.Class, trace.ClassData)
+		t.Errorf("dag.d_retrieve class = %q, want %q", retrieve.Class, trace.ClassData)
 	}
-	if retrieve.Parent != taskD.SpanID {
-		t.Errorf("cv.retrieve parent = %s, want task D (%s)", retrieve.Parent, taskD.SpanID)
+	root := retrieve
+	for root.Parent != "" && byID[root.Parent] != nil {
+		root = byID[root.Parent]
+	}
+	if root.Name != "job "+job.ID {
+		t.Errorf("dag.d_retrieve sits under root %q, want the job's root span", root.Name)
 	}
 
 	// The critical-path decomposition: every phase nonzero, and the

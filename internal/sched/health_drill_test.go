@@ -20,11 +20,24 @@ import (
 )
 
 // TestWedgeDrillEndToEnd is the ISSUE's acceptance drill, in-process
-// and race-detector friendly: the potentiostat wedges mid-acquisition,
-// the acquire budget trips the breaker, the job checkpoint-requeues
-// with its journal intact, the fence aborts the wedged run, a recovery
-// probe closes the breaker, and the job completes exactly once.
+// and race-detector friendly, for cv jobs and for the cv_classic dag
+// job: the potentiostat wedges mid-acquisition, the acquire budget
+// trips the breaker, the job checkpoint-requeues with its journal
+// intact, the fence aborts the wedged run, a recovery probe closes the
+// breaker, and the job completes exactly once.
 func TestWedgeDrillEndToEnd(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		spec JobSpec
+	}{
+		{"cv", JobSpec{Tenant: "acl", Kind: KindCV}},
+		{"dag", JobSpec{Tenant: "acl", Kind: KindDAG, DAG: exampleDAG(t, "cv_classic.json")}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { wedgeDrill(t, tc.spec) })
+	}
+}
+
+func wedgeDrill(t *testing.T, spec JobSpec) {
 	base := t.TempDir()
 	labDir := filepath.Join(base, "lab")
 	if err := os.MkdirAll(labDir, 0o755); err != nil {
@@ -65,7 +78,7 @@ func TestWedgeDrillEndToEnd(t *testing.T) {
 		// still trips it, just 2.5s in.
 		AcquireBudget: 2500 * time.Millisecond,
 		OnTask: func(jobID string, rec workflow.TaskRecord) {
-			if rec.TaskID == "C" && rec.Status == "OK" {
+			if rec.TaskID == "c_fill" && rec.Status == "OK" {
 				wedgeOnce.Do(func() {
 					sp.InjectFault(potentiostat.DeviceFault{Mode: potentiostat.FaultWedgeBusy})
 				})
@@ -82,7 +95,7 @@ func TestWedgeDrillEndToEnd(t *testing.T) {
 	}
 	defer s.Stop()
 
-	job, err := s.Submit(JobSpec{Tenant: "acl", Kind: KindCV})
+	job, err := s.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,9 +151,9 @@ func TestWedgeDrillEndToEnd(t *testing.T) {
 		t.Fatalf("job finished in %d attempt(s); the wedge never bit", final.Attempts)
 	}
 
-	// Exactly-once audit: one fill dispense (tasks A-C restored from
-	// the journal, not re-run) and one completed acquisition (the
-	// wedged run was fenced into an abort).
+	// Exactly-once audit: one fill dispense (nodes through c_fill
+	// restored from the journal, not re-run) and one completed
+	// acquisition (the wedged run was fenced into an abort).
 	dispenses := 0
 	for _, line := range d.Agent.SBC().CommandLog() {
 		if strings.Contains(line, "SYRINGEPUMP_DISPENSE") {

@@ -38,8 +38,9 @@ func (r *ctxGrabRunner) ctx(id string) context.Context {
 
 // TestRecoveryCrashMidJobExactlyOnce is the ISSUE's headline
 // acceptance drill against a real lab: the daemon is killed (kill -9
-// semantics — no goodbye records) right after task C has filled the
-// electrochemical cell, a fresh daemon restarts over the same state
+// semantics — no goodbye records) right after the cv graph's c_fill
+// node has filled the electrochemical cell, a fresh daemon restarts
+// over the same state
 // directory, and the job must complete exactly once: DONE on the
 // second attempt, digest-verified measurement, and an audit journal
 // showing each liquid-moving command dispatched exactly once — the
@@ -62,7 +63,7 @@ func TestRecoveryCrashMidJobExactlyOnce(t *testing.T) {
 	stateDir := filepath.Join(base, "state")
 	connector := &DeploymentConnector{D: d, Host: netsim.HostDGX}
 
-	// Daemon incarnation one, rigged to die at the C→D boundary.
+	// Daemon incarnation one, rigged to die once the fill (node c_fill) checkpoints.
 	s1, err := New(Config{Dir: stateDir, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +73,7 @@ func TestRecoveryCrashMidJobExactlyOnce(t *testing.T) {
 	lab1 := &LabRunner{Connector: connector, Leases: s1.Leases(), Dir: stateDir}
 	grab := &ctxGrabRunner{inner: lab1, ctxs: make(map[string]context.Context)}
 	lab1.OnTask = func(jobID string, rec workflow.TaskRecord) {
-		if rec.TaskID != "C" || rec.Status != "OK" {
+		if rec.TaskID != "c_fill" || rec.Status != "OK" {
 			return
 		}
 		// This callback runs inside the worker goroutine; Kill waits for

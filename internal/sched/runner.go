@@ -9,7 +9,6 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"ice/internal/campaign"
@@ -191,12 +190,13 @@ type CampaignResult struct {
 	Cells []CellResult `json:"cells"`
 }
 
-// LabRunner executes admitted jobs against the lab: cv jobs through
-// the paper's tasks A–E (crash-recoverable via the workflow checkpoint
-// journal), campaign jobs through campaign.Fleet. Instrument access is
-// guarded by lease-backed gates that release post-GetTechPathRslt, so
-// one tenant's WAN retrieval and analysis overlap the next tenant's
-// instrument time.
+// LabRunner executes admitted jobs against the lab: cv jobs (the
+// paper's tasks A–E, compiled to a graph) and dag jobs through the DAG
+// engine, crash-recoverable via per-node checkpoints; campaign jobs
+// through campaign.Fleet; scan jobs on the scan instrument. Instrument
+// access is guarded by lease-backed gates that release once the
+// instruments are done, so one tenant's WAN retrieval and analysis
+// overlap the next tenant's instrument time.
 type LabRunner struct {
 	// Connector opens per-job handles.
 	Connector Connector
@@ -207,19 +207,14 @@ type LabRunner struct {
 	// CampaignCVPoints is the per-round acquisition size for campaign
 	// cells (default 300).
 	CampaignCVPoints int
-	// WaitPoll and WaitTimeout bound cv measurement retrieval.
+	// WaitPoll and WaitTimeout bound measurement retrieval.
 	WaitPoll    time.Duration
 	WaitTimeout time.Duration
-	// StreamAnalysis makes cv jobs tail the measurement file during
-	// acquisition and analyze online, so the verdict is ready at
-	// instrument release; stream failures fall back to the classic
-	// retrieval inside the workflow.
-	StreamAnalysis bool
-	// AcquireBudget bounds task D's acquire phase (connect through the
-	// on-instrument wait). When zero and the job carries an end-to-end
-	// deadline, a budget is derived from the remaining deadline, so a
-	// wedged potentiostat surfaces as a phase timeout in seconds rather
-	// than riding out the lease TTL.
+	// AcquireBudget bounds every acquire node's instrument hold (reset
+	// through the on-instrument wait). When zero and the job carries an
+	// end-to-end deadline, a budget is derived from the remaining
+	// deadline, so a wedged potentiostat surfaces as a phase timeout in
+	// seconds rather than riding out the lease TTL.
 	AcquireBudget time.Duration
 	// OnTask, when set, observes every workflow checkpoint record as it
 	// is journaled, synchronously — crash drills use it to cut the
@@ -314,131 +309,85 @@ func (t *journalTee) Write(p []byte) (int, error) {
 	return n, nil
 }
 
-// runCV executes the paper's tasks A–E for one tenant, resuming from
-// the checkpoint journal when the job was cut down by a daemon crash.
+// runCV runs the paper's tasks A–E for one tenant as the compiled
+// cv_classic graph, through the same engine path as dag jobs, and
+// projects the node results onto the job's CVResult.
 func (r *LabRunner) runCV(ctx context.Context, job Job, emit func(string, string)) (json.RawMessage, error) {
-	_, connSpan := trace.Start(ctx, "sched.connect", trace.ClassControl)
-	session, mount, err := r.Connector.ConnectSession()
-	connSpan.EndErr(err)
+	res, err := r.runGraph(ctx, job, compileCV(job.Spec, r.Classifier != nil), emit)
 	if err != nil {
-		return nil, fmt.Errorf("connect: %w", err)
+		return nil, err
 	}
-	defer session.Close()
-	defer mount.Close()
-	// RPCs issued outside any task/phase (the pre-execute reset) parent
-	// under the attempt's run span.
-	session.BindTraceContext(ctx)
-	// Every RPC honours the job's deadline: a run context that expires
-	// (end-to-end budget, quarantine cancel) aborts in-flight calls
-	// instead of letting them block until the pyro timeout.
-	session.BindCallContext(ctx)
-
-	cfg := core.PaperCVWorkflowConfig()
-	cfg.TraceLabel = job.ID
-	if job.Spec.ScanRateMVs > 0 {
-		cfg.CV.RateMVs = job.Spec.ScanRateMVs
-	}
-	if job.Spec.Points > 0 {
-		cfg.CV.Points = job.Spec.Points
-	}
-	if r.WaitPoll > 0 {
-		cfg.WaitPoll = r.WaitPoll
-	}
-	if r.WaitTimeout > 0 {
-		cfg.WaitTimeout = r.WaitTimeout
-	}
-	cfg.AcquireTimeout = r.phaseBudgets(ctx)
-	cfg.StreamAnalysis = r.StreamAnalysis
-	cfg.Classifier = r.Classifier
-
-	gate := &InstrumentGate{
-		M:         r.Leases,
-		Resources: r.gateResources(job),
-		Holder:    job.ID,
-		TraceCtx:  ctx,
-		OnEvent: func(msg string) {
-			emit("lease", msg)
-		},
-	}
-	var unlockOnce sync.Once
-	unlock := func() { unlockOnce.Do(gate.Unlock) }
-	defer unlock()
-	// Release the instruments the moment acquisition has landed on the
-	// agent's disk — the WAN retrieval and analysis that follow do not
-	// need the lab, so the next tenant's job takes the lease now.
-	cfg.OnMeasured = func(fileName string) {
-		emit("measured", fileName)
-		unlock()
-	}
-	// Task E's instrument shutdown re-acquires the lease: a disconnect
-	// must not fire inside another tenant's acquisition on the shared
-	// instrument. The pre-lock release covers the resume path where
-	// task D was restored from the journal and OnMeasured never fired.
-	cfg.TeardownGate = &relockGate{pre: unlock, gate: gate}
-
-	nb, outcome := core.BuildCVWorkflow(session, mount, cfg)
-
-	// Crash recovery: restore completed tasks from the journal the
-	// previous daemon incarnation checkpointed.
-	if job.Resumed || job.Attempts > 1 {
-		if data, err := os.ReadFile(r.journalPath(job.ID)); err == nil {
-			records, err := workflow.ReadJournal(bytes.NewReader(data))
-			if err != nil {
-				return nil, fmt.Errorf("parse journal: %w", err)
-			}
-			if n := nb.Restore(records); n > 0 {
-				emit("resumed", fmt.Sprintf("%d completed task(s) restored from checkpoint journal", n))
-			}
-		} else if !os.IsNotExist(err) {
-			return nil, fmt.Errorf("read journal: %w", err)
+	var out CVResult
+	for _, n := range res.Nodes {
+		switch n.Node {
+		case "d_retrieve":
+			out.File, out.SHA256 = n.File, n.Digest
+		case "d_analyze":
+			out.Points, out.AnodicPeakUA = n.Points, n.AnodicPeakUA
+		case "d_classify":
+			out.ClassName = n.ClassName
 		}
 	}
-
-	journal, err := core.OpenAppendFile(r.Dir, job.ID+".journal")
-	if err != nil {
-		return nil, fmt.Errorf("open journal: %w", err)
-	}
-	defer journal.Close()
-	nb.SetJournal(&journalTee{file: journal, jobID: job.ID, emit: emit, onTask: r.OnTask, mirror: r.MirrorJournal})
-
-	gate.Lock()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	// The shared potentiostat may be mid-pipeline — a previous tenant's
-	// campaign, or this job's own crashed attempt. Force it back to its
-	// power-on state under the gate, so task D's full bring-up starts
-	// from a known baseline. (Resetting outside the gate would disconnect
-	// the instrument under another tenant's acquisition.)
-	if err := session.ResetSP200(); err != nil {
-		return nil, fmt.Errorf("reset instrument: %w", err)
-	}
-	if err := nb.Execute(ctx); err != nil {
-		return nil, err
-	}
-	result := CVResult{
-		File:   outcome.FileName,
-		SHA256: outcome.SHA256,
-		Points: len(outcome.Records),
-	}
-	if outcome.Summary != nil {
-		result.AnodicPeakUA = outcome.Summary.AnodicPeak.Microamperes()
-	}
-	if outcome.Classified {
-		result.ClassName = outcome.ClassName
-	}
-	return json.Marshal(result)
+	return json.Marshal(out)
 }
 
-// runDAG executes a declarative node-graph job through the DAG
-// engine: the same connect / journal / instrument-gate scaffolding as
-// runCV, with per-node checkpoints in the job's journal and the
-// runner-wide content-keyed cache shared across jobs.
+// compileCV compiles a cv job into the graph examples/dag/cv_classic.json
+// declares, with the job's points and scan-rate overrides on the
+// acquire node; fill, system and classifier-seed parameters are left
+// zero for the engine to resolve to the paper's defaults. Every node is
+// nocache, because a cv job always measures afresh, and the
+// ml-classify node is included only when classify is set.
+func compileCV(spec JobSpec, classify bool) *dag.Spec {
+	cv := core.PaperCVParams()
+	if spec.Points > 0 {
+		cv.Points = spec.Points
+	}
+	if spec.ScanRateMVs > 0 {
+		cv.RateMVs = spec.ScanRateMVs
+	}
+	pyro := func(id, object, method string, args []any, needs ...string) *dag.Node {
+		return &dag.Node{ID: id, Type: dag.TypePyro, Object: object, Method: method, Args: args, Needs: needs}
+	}
+	nodes := []*dag.Node{
+		pyro("a_jkem", "jkem", "Status", nil),
+		pyro("a_sp200", "sp200", "StatusSP200", nil),
+		pyro("b_gas", "jkem", "SetGasFlow", []any{1.0, 20.0}, "a_jkem"),
+		pyro("b_vial", "jkem", "SetVialFractionCollector", []any{1.0, "BOTTOM"}, "b_gas"),
+		pyro("b_temp", "jkem", "ReadTemperature", []any{1.0}, "b_vial"),
+		{ID: "c_fill", Type: dag.TypeFill, Fill: &dag.FillSpec{}, Needs: []string{"b_temp"}},
+		{ID: "d_acquire", Type: dag.TypeAcquire, Acquire: &dag.AcquireSpec{CV: cv}, Needs: []string{"c_fill", "a_sp200"}},
+		{ID: "d_retrieve", Type: dag.TypeRetrieve, Needs: []string{"d_acquire"}},
+		{ID: "d_analyze", Type: dag.TypeAnalyze, Needs: []string{"d_retrieve"}},
+		pyro("e_exit", "jkem", "ExitJKemAPI", nil, "d_acquire"),
+		pyro("e_disconnect", "sp200", "DisconnectSP200", nil, "d_acquire", "e_exit"),
+	}
+	if classify {
+		nodes = append(nodes, &dag.Node{ID: "d_classify", Type: dag.TypeClassify, Needs: []string{"d_retrieve"}})
+	}
+	for _, n := range nodes {
+		n.NoCache = true
+	}
+	return &dag.Spec{Name: "cv-classic", Nodes: nodes}
+}
+
+// runDAG executes a declarative node-graph job.
 func (r *LabRunner) runDAG(ctx context.Context, job Job, emit func(string, string)) (json.RawMessage, error) {
 	spec, err := dag.DecodeSpec(job.Spec.DAG)
 	if err != nil {
 		return nil, err
 	}
+	res, err := r.runGraph(ctx, job, spec, emit)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(res)
+}
+
+// runGraph executes one job's graph through the DAG engine: per-node
+// checkpoints in the job's journal (replayed when the job resumes after
+// a crash), the runner-wide content-keyed cache shared across jobs, and
+// the instrument gate held over the instrument nodes.
+func (r *LabRunner) runGraph(ctx context.Context, job Job, spec *dag.Spec, emit func(string, string)) (*dag.Result, error) {
 	_, connSpan := trace.Start(ctx, "sched.connect", trace.ClassControl)
 	session, mount, err := r.Connector.ConnectSession()
 	connSpan.EndErr(err)
@@ -448,8 +397,10 @@ func (r *LabRunner) runDAG(ctx context.Context, job Job, emit func(string, strin
 	defer session.Close()
 	defer mount.Close()
 	session.BindTraceContext(ctx)
+	// Every RPC honours the job's deadline: a run context that expires
+	// (end-to-end budget, quarantine cancel) aborts in-flight calls
+	// instead of letting them block until the pyro timeout.
 	session.BindCallContext(ctx)
-
 	// The cache lives beside the journals and is shared across jobs:
 	// a second job submitting the same spec against unchanged content
 	// hits on every cacheable node.
@@ -494,13 +445,14 @@ func (r *LabRunner) runDAG(ctx context.Context, job Job, emit func(string, strin
 
 	eng := &dag.Engine{
 		Spec: spec,
-		Exec: &dag.LabExecutor{
-			Session:     session,
-			Mount:       mount,
-			WaitPoll:    r.WaitPoll,
-			WaitTimeout: r.WaitTimeout,
-			Classifier:  r.Classifier,
-		},
+		Exec: measuredExec{emit: emit, Executor: &dag.LabExecutor{
+			Session:       session,
+			Mount:         mount,
+			WaitPoll:      r.WaitPoll,
+			WaitTimeout:   r.WaitTimeout,
+			Classifier:    r.Classifier,
+			AcquireBudget: r.AcquireBudget,
+		}},
 		Workers:    r.DAGWorkers,
 		Journal:    tee,
 		Cache:      cache,
@@ -519,7 +471,25 @@ func (r *LabRunner) runDAG(ctx context.Context, job Job, emit func(string, strin
 	if res.NodesCached > 0 {
 		emit("cached", fmt.Sprintf("%d node(s) served from content-keyed cache", res.NodesCached))
 	}
-	return json.Marshal(res)
+	return res, nil
+}
+
+// measuredExec runs nodes through the wrapped executor and announces
+// the acquire→retrieve boundary on the job's event stream as
+// "measured <file>", just before the engine may release the gate.
+type measuredExec struct {
+	dag.Executor
+	emit func(string, string)
+}
+
+func (x measuredExec) RunNode(ctx context.Context, inv *dag.Invocation) (*dag.NodeResult, []byte, error) {
+	if release := inv.OnMeasured; release != nil {
+		inv.OnMeasured = func(file string) {
+			x.emit("measured", file)
+			release(file)
+		}
+	}
+	return x.Executor.RunNode(ctx, inv)
 }
 
 // gateResources picks the lease names the job's gates contend on: the
@@ -531,41 +501,6 @@ func (r *LabRunner) gateResources(job Job) []string {
 	}
 	return r.Resources
 }
-
-// phaseBudgets derives the acquire-phase sub-budget. An explicit
-// AcquireBudget wins; otherwise, when the run context carries an
-// end-to-end deadline, the acquire phase gets 60% of what remains —
-// enough that a hang inside acquisition is detected and classified as
-// a wedge well before the whole budget burns down.
-func (r *LabRunner) phaseBudgets(ctx context.Context) time.Duration {
-	if r.AcquireBudget > 0 {
-		return r.AcquireBudget
-	}
-	dl, ok := ctx.Deadline()
-	if !ok {
-		return 0
-	}
-	remaining := time.Until(dl)
-	if remaining <= 0 {
-		return 0
-	}
-	return remaining * 6 / 10
-}
-
-// relockGate is the teardown locker: Lock releases any still-held
-// leases (at most once, shared with the runner's deferred unlock) and
-// then re-acquires the gate; Unlock releases it again.
-type relockGate struct {
-	pre  func()
-	gate *InstrumentGate
-}
-
-func (r *relockGate) Lock() {
-	r.pre()
-	r.gate.Lock()
-}
-
-func (r *relockGate) Unlock() { r.gate.Unlock() }
 
 // runCampaign executes one or more closed-loop campaigns as a fleet
 // sharing the lease-backed instrument gate.

@@ -53,8 +53,8 @@ type ScanResult struct {
 // finish → retrieve the scan file over the data channel with digest
 // verification. The instrument gate releases at Finish-complete (the
 // scan file has landed on the agent's disk), so the WAN retrieval
-// overlaps the next tenant's beam time — the same release point the
-// cv path uses at OnMeasured.
+// overlaps the next tenant's beam time, as an echem graph's retrieval
+// overlaps the next tenant's acquisition.
 func (r *LabRunner) runScan(ctx context.Context, job Job, emit func(string, string)) (json.RawMessage, error) {
 	sc, ok := r.Connector.(ScanConnector)
 	if !ok {

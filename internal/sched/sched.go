@@ -96,7 +96,7 @@ type Event struct {
 	// Job is the job ID.
 	Job string `json:"job"`
 	// Type classifies the event: queued, started, resumed, workflow,
-	// round, lease, done, failed, cancelled.
+	// round, lease, measured, cached, steered, done, failed, cancelled.
 	Type string `json:"type"`
 	// Message is the human-readable detail.
 	Message string `json:"message,omitempty"`

@@ -136,12 +136,12 @@ func TestTraceChaosFleetEventAttribution(t *testing.T) {
 	}
 }
 
-// TestTraceCrashRecoveryStitching kills the daemon at the C→D task
-// boundary (no goodbye records), restarts over the same state
-// directory and trace backend, and verifies the resumed job's spans
-// stitch into the original trace: two roots (one per attempt), no
-// orphaned spans, a task.restored event for the checkpointed tasks,
-// and no re-executed task span.
+// TestTraceCrashRecoveryStitching kills the daemon once the cv
+// graph's c_fill node checkpoints (no goodbye records), restarts over
+// the same state directory and trace backend, and verifies the resumed
+// job's spans stitch into the original trace: two roots (one per
+// attempt), no orphaned spans, a task.restored event for the
+// checkpointed nodes, and no re-executed node span.
 func TestTraceCrashRecoveryStitching(t *testing.T) {
 	base := t.TempDir()
 	labDir := filepath.Join(base, "lab")
@@ -169,7 +169,7 @@ func TestTraceCrashRecoveryStitching(t *testing.T) {
 	lab1 := &LabRunner{Connector: connector, Leases: s1.Leases(), Dir: stateDir}
 	grab := &ctxGrabRunner{inner: lab1, ctxs: make(map[string]context.Context)}
 	lab1.OnTask = func(jobID string, rec workflow.TaskRecord) {
-		if rec.TaskID != "C" || rec.Status != "OK" {
+		if rec.TaskID != "c_fill" || rec.Status != "OK" {
 			return
 		}
 		crashOnce.Do(func() {
@@ -229,12 +229,14 @@ func TestTraceCrashRecoveryStitching(t *testing.T) {
 
 	// Both incarnations re-rooted into the one trace.
 	roots, restored := 0, 0
-	counts := make(map[string]int)
+	live := make(map[string]int) // spans of nodes that ran, not restored
 	for _, rec := range recs {
 		if rec.Parent == "" {
 			roots++
 		}
-		counts[rec.Name]++
+		if rec.Attrs["restored"] != "true" {
+			live[rec.Name]++
+		}
 		for _, ev := range rec.Events {
 			if ev.Name == "task.restored" {
 				restored++
@@ -247,13 +249,13 @@ func TestTraceCrashRecoveryStitching(t *testing.T) {
 	if restored == 0 {
 		t.Error("no task.restored events — the resume is invisible in the trace")
 	}
-	// The checkpointed fill was restored, not re-executed: one task C
-	// span (attempt one's), one retrieval (attempt two's).
-	if counts["task C"] != 1 {
-		t.Errorf("trace has %d task C spans, want exactly 1 (resume must not re-run the fill)", counts["task C"])
+	// The checkpointed fill was restored, not re-executed: one live
+	// dag.c_fill span (attempt one's), one retrieval (attempt two's).
+	if live["dag.c_fill"] != 1 {
+		t.Errorf("trace has %d live dag.c_fill spans, want exactly 1 (resume must not re-run the fill)", live["dag.c_fill"])
 	}
-	if counts["cv.retrieve"] != 1 {
-		t.Errorf("trace has %d cv.retrieve spans, want exactly 1", counts["cv.retrieve"])
+	if live["dag.d_retrieve"] != 1 {
+		t.Errorf("trace has %d live dag.d_retrieve spans, want exactly 1", live["dag.d_retrieve"])
 	}
 
 	// The stitched trace is parent-complete: the crash lost no span an
