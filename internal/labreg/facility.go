@@ -1,6 +1,7 @@
 package labreg
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -424,6 +425,54 @@ func (f *Facility) ClassesFor(spec sched.JobSpec) []string {
 		}
 	}
 	return out
+}
+
+// WireProbers wires health probes for every instrument the facility
+// materialized: the echem prober covers the sp200/jkem classes, the
+// scan prober covers stem devices, and the quarantine fence fans out
+// to both (each fence ignores resources outside its class). Call
+// before s.Start so the first probe tick has probers. Returns the
+// combined closer.
+func (f *Facility) WireProbers(s *sched.Scheduler, gw *sched.Gateway) func() {
+	instruments := f.HealthInstruments()
+	var closers []func()
+	var fences []func(ctx context.Context, resource string)
+
+	var echemRes []string
+	for class, resources := range instruments {
+		if class == "stem" {
+			continue
+		}
+		echemRes = append(echemRes, resources...)
+	}
+	if len(echemRes) > 0 {
+		p := &sched.LabProber{Connector: f}
+		for _, res := range echemRes {
+			s.RegisterProber(res, p.ProberFor(res))
+		}
+		fences = append(fences, p.FenceFor)
+		gw.Registry().AddSource(p.HealthSource())
+		closers = append(closers, p.Close)
+	}
+	if scanRes := instruments["stem"]; len(scanRes) > 0 {
+		p := &sched.ScanProber{Connector: f}
+		for _, res := range scanRes {
+			s.RegisterProber(res, p.Prober())
+		}
+		fences = append(fences, p.Fence)
+		gw.Registry().AddSource(p.HealthSource())
+		closers = append(closers, p.Close)
+	}
+	s.SetFence(func(ctx context.Context, resource string) {
+		for _, fence := range fences {
+			fence(ctx, resource)
+		}
+	})
+	return func() {
+		for _, c := range closers {
+			c()
+		}
+	}
 }
 
 // GateResources resolves a named gate into its member devices' lease

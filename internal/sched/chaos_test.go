@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net"
@@ -17,6 +18,7 @@ import (
 	"ice/internal/datachan"
 	"ice/internal/netsim"
 	"ice/internal/telemetry"
+	"ice/internal/testutil"
 )
 
 // schedChaosSeed fixes the fault generator on a schedule under which
@@ -31,8 +33,9 @@ const schedChaosSeed = 11
 // loss tearing connections down mid-stream. Both jobs must complete
 // exactly once — every round's acquisition started exactly once per
 // the lab's audit journal, a digest-verified cv measurement riding the
-// same lossy link — and no instrument lease may leak.
+// same lossy link — and no instrument lease or goroutine may leak.
 func TestChaosTwoTenantsThroughGateway(t *testing.T) {
+	testutil.CheckGoroutines(t)
 	base := t.TempDir()
 	labDir := filepath.Join(base, "lab")
 	if err := os.MkdirAll(labDir, 0o755); err != nil {
@@ -140,7 +143,8 @@ func TestChaosTwoTenantsThroughGateway(t *testing.T) {
 	// end-to-end digest the data channel must reproduce.
 	cvJob := submit(`{"tenant": "acl", "kind": "cv", "points": 400}`)
 
-	ctx := t.Context()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	results := make(map[string]Job)
 	for _, job := range []Job{aclJob, dgxJob, cvJob} {
 		final, err := s.WaitTerminal(ctx, job.ID)

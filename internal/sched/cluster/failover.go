@@ -206,12 +206,27 @@ func (n *Node) evaluate() {
 
 	for _, dec := range silent {
 		ps := dec.ps
-		if err := n.probe(ps.peer); err == nil {
-			// Fencing passed: the facility's lab answers but its gateway
-			// does not — a crashed gateway, not a severed WAN. Adopt.
+		probeErr := n.probe(ps.peer)
+		// The probe ran unlocked: a heartbeat or replication batch that
+		// landed meanwhile proves the peer's gateway is back (a healed
+		// WAN, not a crash), so neither adopt nor mark a partition.
+		n.mu.Lock()
+		if ps.reachable {
+			n.mu.Unlock()
+			continue
+		}
+		if probeErr == nil {
+			n.mu.Unlock()
+			// Fencing passed: the facility's lab answers. Its gateway must
+			// still be silent now that the probe proved the path — a WAN
+			// that healed just before the probe reaches a live gateway.
+			if st, err := n.sendHeartbeat(ps.peer); err == nil {
+				n.observeState(ps.peer.Facility, st)
+				continue
+			}
+			// A crashed gateway, not a severed WAN. Adopt.
 			n.adoptFacility(ps)
 		} else {
-			n.mu.Lock()
 			first := !ps.partitioned
 			ps.partitioned = true
 			n.mu.Unlock()

@@ -12,6 +12,7 @@ import (
 	"ice/internal/core"
 	"ice/internal/netsim"
 	"ice/internal/sched"
+	"ice/internal/testutil"
 	"ice/internal/trace"
 	"ice/internal/workflow"
 )
@@ -26,8 +27,10 @@ import (
 // checkpoint journal, and finish the job exactly once: DONE on
 // attempt two, digest-verified measurement, each liquid-moving
 // command in A's lab audit journal exactly once, no leaked leases,
-// and one stitched trace carrying a cluster.failover event.
+// one stitched trace carrying a cluster.failover event, the survivor
+// ready as leader, and no goroutine leaked.
 func TestClusterFailoverKillDashNineExactlyOnce(t *testing.T) {
+	testutil.CheckGoroutines(t)
 	base := t.TempDir()
 	labDir := filepath.Join(base, "lab-a")
 	if err := os.MkdirAll(labDir, 0o755); err != nil {
@@ -211,18 +214,7 @@ func TestClusterFailoverKillDashNineExactlyOnce(t *testing.T) {
 	// Exactly-once: each liquid-moving command appears once in the
 	// lab's audit journal — the adopted attempt resumed from the
 	// replicated checkpoint instead of re-filling the cell.
-	auditData, err := os.ReadFile(filepath.Join(labDir, core.AuditFileName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries, err := core.ParseAuditJournal(auditData)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := make(map[string]int)
-	for _, e := range entries {
-		counts[e.Method]++
-	}
+	counts := testutil.AuditCounts(t, filepath.Join(labDir, core.AuditFileName))
 	for _, method := range []string{"WithdrawSyringePump", "DispenseSyringePump", "StartChannelSP200"} {
 		if counts[method] != 1 {
 			t.Errorf("audit journal shows %s ×%d, want exactly once", method, counts[method])
@@ -231,6 +223,21 @@ func TestClusterFailoverKillDashNineExactlyOnce(t *testing.T) {
 
 	if active := nodeB.Scheduler().Leases().Active(); len(active) != 0 {
 		t.Fatalf("leaked leases on the adopter: %+v", active)
+	}
+
+	// The survivor's readiness reflects the takeover: ready, leading.
+	resp, err := clientB.Get(urlGwB + "/v1/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ready sched.ReadyStatus
+	err = json.NewDecoder(resp.Body).Decode(&ready)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || !ready.Ready || ready.Role != "leader" {
+		t.Errorf("survivor readiness = HTTP %d %+v, want ready leader", resp.StatusCode, ready)
 	}
 
 	// No WAL record loss despite group commit and kill -9: every

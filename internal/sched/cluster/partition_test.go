@@ -1,11 +1,18 @@
 package cluster
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -233,5 +240,100 @@ func TestClusterPartitionDegradesAndHeals(t *testing.T) {
 	}
 	if !sawPartition || !sawHeal {
 		t.Fatalf("cluster spans: partition event %v, heal event %v, want both", sawPartition, sawHeal)
+	}
+}
+
+// peerWAN carries the node's peer traffic to facb's gateway: down
+// until heal, then answering heartbeats as a live facb would.
+type peerWAN struct{ up atomic.Bool }
+
+func (w *peerWAN) RoundTrip(req *http.Request) (*http.Response, error) {
+	if !w.up.Load() {
+		return nil, errors.New("wan down")
+	}
+	rec := httptest.NewRecorder()
+	if req.URL.Path == "/v1/cluster/heartbeat" {
+		writeJSON(rec, http.StatusOK, facbState)
+	} else {
+		writeError(rec, http.StatusNotFound, "not served by this fake")
+	}
+	return rec.Result(), nil
+}
+
+var facbState = stateMsg{Facility: "facb", Term: 1, Leading: map[string]uint64{"facb": 1}}
+
+// TestSilentPeerBackDuringProbeIsNotAdopted pins the heal-during-probe
+// race behind TestClusterPartitionDegradesAndHeals' rare timeout: the
+// monitor finds the peer silent and probes its lab, and while the
+// probe runs the peer comes back — its heartbeat lands here, or the
+// WAN heals so its gateway answers again. The lab probe passes either
+// way, but the peer's gateway is live, so the node must neither adopt
+// its facility nor mark it partitioned.
+func TestSilentPeerBackDuringProbeIsNotAdopted(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// inbound delivers facb's heartbeat to the node mid-probe;
+		// otherwise the probe heals the WAN and nothing arrives.
+		inbound bool
+	}{
+		{"heartbeat lands mid-probe", true},
+		{"wan heals mid-probe", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			wan := &peerWAN{}
+			var node *Node
+			probe := func(ctx context.Context) error {
+				if !tc.inbound {
+					wan.up.Store(true)
+					return nil // the lab answers: the fencing probe passes
+				}
+				body, err := json.Marshal(facbState)
+				if err != nil {
+					return err
+				}
+				rec := httptest.NewRecorder()
+				node.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/cluster/heartbeat", bytes.NewReader(body)))
+				if rec.Code != http.StatusOK {
+					return fmt.Errorf("heartbeat: HTTP %d: %s", rec.Code, rec.Body)
+				}
+				return nil
+			}
+			node, err := NewNode(Config{
+				Facility: "faca",
+				Peers:    []Peer{{Facility: "facb", URL: "http://icegated-b:9700", Probe: probe}},
+				Sched:    sched.Config{Dir: t.TempDir(), Workers: 1},
+				NewRunner: func(n *Node, fac string) sched.Runner {
+					return &sched.LabRunner{Leases: n.Scheduler().Leases(), Dir: n.Scheduler().Dir()}
+				},
+				Transport: wan,
+				// The test drives the monitor by hand: no tick of its own,
+				// and any silence at all is past the failover threshold.
+				HeartbeatEvery: time.Hour,
+				FailoverAfter:  time.Nanosecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := node.Start(); err != nil {
+				t.Fatal(err)
+			}
+			defer node.Stop()
+
+			node.tick() // heartbeat to facb fails → silent → probe → facb is back
+
+			m := node.Scheduler().Metrics()
+			if got := m.CounterValue("cluster.failovers"); got != 0 {
+				t.Errorf("cluster.failovers = %d after the peer came back mid-probe, want 0", got)
+			}
+			if got := m.CounterValue("cluster.partitions"); got != 0 {
+				t.Errorf("cluster.partitions = %d after the peer came back mid-probe, want 0", got)
+			}
+			if term, leads := node.state().Leading["facb"]; leads {
+				t.Errorf("node leads facb at term %d: adopted a live peer's facility", term)
+			}
+			if !node.Ready().Peers["facb"] {
+				t.Errorf("facb not reachable after it came back: %+v", node.Ready())
+			}
+		})
 	}
 }

@@ -16,10 +16,12 @@ import (
 	"ice/internal/dag"
 	"ice/internal/ml"
 	"ice/internal/netsim"
+	"ice/internal/testutil"
 	"ice/internal/workflow"
 )
 
-// deployLab stands up one fresh simulated lab with auditing on.
+// deployLab stands up one fresh simulated lab with auditing on and
+// returns it with the path of its audit journal.
 func deployLab(t *testing.T) (*core.Deployment, string) {
 	t.Helper()
 	labDir := filepath.Join(t.TempDir(), "lab")
@@ -34,24 +36,7 @@ func deployLab(t *testing.T) (*core.Deployment, string) {
 	if err := d.Agent.EnableAudit(); err != nil {
 		t.Fatal(err)
 	}
-	return d, labDir
-}
-
-func auditCounts(t *testing.T, labDir string) map[string]int {
-	t.Helper()
-	data, err := os.ReadFile(filepath.Join(labDir, core.AuditFileName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries, err := core.ParseAuditJournal(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := make(map[string]int)
-	for _, e := range entries {
-		counts[e.Method]++
-	}
-	return counts
+	return d, filepath.Join(labDir, core.AuditFileName)
 }
 
 func runJob(t *testing.T, s *Scheduler, spec JobSpec) Job {
@@ -100,9 +85,10 @@ var goldenCVs = []goldenCV{
 		"0bd19a8f6d0b80b8da9f4d75904788c93de820cd1e2fefa06911164e1aa7bc48", 401, 49.1082, "normal"},
 }
 
-// runCVOnFreshLab runs one cv job on a fresh lab with the given
-// classifier and returns its result.
-func runCVOnFreshLab(t *testing.T, spec JobSpec, clf *ml.Ensemble) CVResult {
+// freshLabScheduler starts a one-worker scheduler whose runner drives
+// a fresh simulated lab with the given classifier (nil for none); t's
+// cleanups stop it.
+func freshLabScheduler(t *testing.T, clf *ml.Ensemble) *Scheduler {
 	t.Helper()
 	d, _ := deployLab(t)
 	s, err := New(Config{Dir: filepath.Join(t.TempDir(), "state"), Workers: 1})
@@ -118,7 +104,15 @@ func runCVOnFreshLab(t *testing.T, spec JobSpec, clf *ml.Ensemble) CVResult {
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer s.Stop()
+	t.Cleanup(s.Stop)
+	return s
+}
+
+// runCVOnFreshLab runs one cv job on a fresh lab with the given
+// classifier and returns its result.
+func runCVOnFreshLab(t *testing.T, spec JobSpec, clf *ml.Ensemble) CVResult {
+	t.Helper()
+	s := freshLabScheduler(t, clf)
 	job := runJob(t, s, spec)
 	var res CVResult
 	if err := json.Unmarshal(job.Result, &res); err != nil {
@@ -152,8 +146,11 @@ func measuredFile(t *testing.T, s *Scheduler, id string) string {
 // pinned measurement of the hardwired runner, and the shipped
 // cv_classic.json DAG, run on an equally fresh lab, must produce the
 // same digest, points and verdict — then hit the content-keyed cache
-// on resubmission without touching the instrument again.
+// on resubmission without touching the instrument again. The shipped
+// campaign_round.json runs through the scheduler too, and nothing
+// leaks.
 func TestDAGJobMatchesClassicCV(t *testing.T) {
+	testutil.CheckGoroutines(t)
 	clf, err := dag.ClassifierForSeed(dag.DefaultClassifierSeed)
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +165,7 @@ func TestDAGJobMatchesClassicCV(t *testing.T) {
 	classic := goldenCVs[0]
 
 	// DAG path on fresh lab B.
-	dB, labB := deployLab(t)
+	dB, auditB := deployLab(t)
 	sB, err := New(Config{Dir: filepath.Join(t.TempDir(), "state"), Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +225,7 @@ func TestDAGJobMatchesClassicCV(t *testing.T) {
 	if got := sB.Metrics().CounterValue("dag.nodes.cached"); got < 4 {
 		t.Errorf("dag.nodes.cached = %d, want >= 4", got)
 	}
-	counts := auditCounts(t, labB)
+	counts := testutil.AuditCounts(t, auditB)
 	if counts["StartChannelSP200"] != 1 {
 		t.Errorf("StartChannelSP200 ×%d across original+cached runs, want exactly 1", counts["StartChannelSP200"])
 	}
@@ -238,6 +235,30 @@ func TestDAGJobMatchesClassicCV(t *testing.T) {
 	if active := sB.Leases().Active(); len(active) != 0 {
 		t.Fatalf("leaked leases: %+v", active)
 	}
+
+	// The two-cell campaign round runs on its own fresh lab (lab B's
+	// cell already holds two fills; a third would rightly overflow it)
+	// and must analyze both cells' branches.
+	t.Run("campaign_round", func(t *testing.T) {
+		s := freshLabScheduler(t, nil)
+		job := runJob(t, s, JobSpec{Tenant: "acl", Kind: KindDAG, DAG: exampleDAG(t, "campaign_round.json")})
+		var res dag.Result
+		if err := json.Unmarshal(job.Result, &res); err != nil {
+			t.Fatal(err)
+		}
+		analyzed := make(map[string]dag.NodeResult)
+		for _, n := range res.Nodes {
+			analyzed[n.Node] = n
+		}
+		for _, id := range []string{"c1_analyze", "c2_analyze"} {
+			if analyzed[id].Points == 0 {
+				t.Errorf("campaign branch %s produced no analysis: %+v", id, analyzed[id])
+			}
+		}
+		if active := s.Leases().Active(); len(active) != 0 {
+			t.Fatalf("leaked leases: %+v", active)
+		}
+	})
 }
 
 // TestCompiledCVMatchesShippedGraph holds the Go-compiled cv graph to
@@ -299,7 +320,8 @@ func TestCompiledCVMatchesShippedGraph(t *testing.T) {
 // restored — the retrieve payload served from the content-keyed blob
 // store — and an audit journal proving no command re-ran.
 func TestDAGCrashResumeExactlyOnce(t *testing.T) {
-	d, labDir := deployLab(t)
+	testutil.CheckGoroutines(t)
+	d, audit := deployLab(t)
 	stateDir := filepath.Join(t.TempDir(), "state")
 	connector := &DeploymentConnector{D: d, Host: netsim.HostDGX}
 
@@ -393,7 +415,7 @@ func TestDAGCrashResumeExactlyOnce(t *testing.T) {
 	if sum != nodes["d_retrieve"].Digest {
 		t.Fatalf("digest mismatch after resume: result %s, data channel %s", nodes["d_retrieve"].Digest, sum)
 	}
-	counts := auditCounts(t, labDir)
+	counts := testutil.AuditCounts(t, audit)
 	for _, method := range []string{"WithdrawSyringePump", "DispenseSyringePump", "StartChannelSP200"} {
 		if counts[method] != 1 {
 			t.Errorf("audit journal shows %s ×%d, want exactly once", method, counts[method])

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -189,7 +190,8 @@ func TestGatewayCancel(t *testing.T) {
 	if cresp.StatusCode != http.StatusAccepted {
 		t.Fatalf("cancel status = %s", cresp.Status)
 	}
-	ctx := t.Context()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	final, err := s.WaitTerminal(ctx, job.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +282,9 @@ func TestGatewayLeasesAndMetrics(t *testing.T) {
 
 	resp = postJSON(t, srv.URL+"/v1/jobs", `{"tenant": "acl", "kind": "cv"}`)
 	job := decodeJob(t, resp)
-	if _, err := s.WaitTerminal(t.Context(), job.ID); err != nil {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if _, err := s.WaitTerminal(ctx, job.ID); err != nil {
 		t.Fatal(err)
 	}
 	mresp, err := http.Get(srv.URL + "/v1/metrics")

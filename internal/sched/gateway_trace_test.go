@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -13,16 +14,29 @@ import (
 
 	"ice/internal/core"
 	"ice/internal/netsim"
+	"ice/internal/testutil"
 	"ice/internal/trace"
 )
 
-// TestGatewayTraceEndToEnd is the ISSUE's acceptance drill: submit a
-// cv job through POST /v1/jobs, fetch its trace by the returned trace
-// ID, and verify the span tree runs scheduler → the cv graph's nodes
-// (tasks A–E) → pyro RPCs → data-channel retrieval with every span
-// parented, and that the critical-path breakdown partitions the job's
-// wall time.
+// TestGatewayTraceEndToEnd is the tracing acceptance drill: submit a
+// job through POST /v1/jobs, fetch its trace by the returned trace ID,
+// and verify the span tree is parent-complete and the critical-path
+// breakdown partitions the job's wall time. The cv case follows the
+// tree from the scheduler through the cv graph's nodes (tasks A–E)
+// and pyro RPCs to the data-channel retrieval; the campaign case runs
+// the two-cell fleet shape, whose WAN retrieval pipelines under the
+// sibling cell's instrument hold.
 func TestGatewayTraceEndToEnd(t *testing.T) {
+	t.Run("cv", testGatewayTraceCV)
+	t.Run("campaign", testGatewayTraceCampaign)
+}
+
+// traceThroughGateway runs one job, submitted over HTTP, to DONE on a
+// fresh simulated lab and returns the gateway URL, the job and its
+// trace once the root span has landed in the store. Everything it
+// starts is torn down by t's cleanups.
+func traceThroughGateway(t *testing.T, spec string) (string, Job, TraceResponse) {
+	t.Helper()
 	base := t.TempDir()
 	labDir := filepath.Join(base, "lab")
 	if err := os.MkdirAll(labDir, 0o755); err != nil {
@@ -33,25 +47,28 @@ func TestGatewayTraceEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { d.Close() })
+	if err := d.AttachLab(1, 0); err != nil {
+		t.Fatal(err)
+	}
 
 	s, err := New(Config{Dir: filepath.Join(base, "state"), Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.SetRunner(&LabRunner{
-		Connector: &DeploymentConnector{D: d, Host: netsim.HostDGX},
-		Leases:    s.Leases(),
-		Dir:       s.Dir(),
+		Connector:        &DeploymentConnector{D: d, Host: netsim.HostDGX},
+		Leases:           s.Leases(),
+		Dir:              s.Dir(),
+		CampaignCVPoints: 300,
 	})
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer s.Stop()
+	t.Cleanup(s.Stop)
 	srv := httptest.NewServer(NewGateway(s))
-	defer srv.Close()
+	t.Cleanup(srv.Close)
 
-	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json",
-		strings.NewReader(`{"tenant": "acl", "kind": "cv", "points": 400}`))
+	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(spec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +81,9 @@ func TestGatewayTraceEndToEnd(t *testing.T) {
 	if job.TraceID == "" {
 		t.Fatal("submitted job carries no trace ID")
 	}
-	final, err := s.WaitTerminal(t.Context(), job.ID)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	final, err := s.WaitTerminal(ctx, job.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,6 +114,15 @@ func TestGatewayTraceEndToEnd(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+	if active := s.Leases().Active(); len(active) != 0 {
+		t.Errorf("leaked leases after the traced job: %+v", active)
+	}
+	return srv.URL, final, tr
+}
+
+func testGatewayTraceCV(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	url, job, tr := traceThroughGateway(t, `{"tenant": "acl", "kind": "cv", "points": 400}`)
 
 	// Every layer contributed spans, all in the job's one trace.
 	wantSpans := []string{
@@ -171,7 +199,7 @@ func TestGatewayTraceEndToEnd(t *testing.T) {
 	}
 
 	// The trace is listed in the summary index too.
-	resp, err = http.Get(srv.URL + "/v1/traces")
+	resp, err := http.Get(url + "/v1/traces")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +225,7 @@ func TestGatewayTraceEndToEnd(t *testing.T) {
 	}
 
 	// And the metrics snapshot carries the tracer's series.
-	resp, err = http.Get(srv.URL + "/v1/metrics")
+	resp, err = http.Get(url + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,6 +238,36 @@ func TestGatewayTraceEndToEnd(t *testing.T) {
 		if !strings.Contains(string(report), want) {
 			t.Errorf("metrics missing %q:\n%s", want, report)
 		}
+	}
+}
+
+// testGatewayTraceCampaign traces the two-cell campaign: every layer
+// of the fleet workflow contributes spans, none is orphaned, and the
+// instrument, data and scheduling phases all land on the critical
+// path, which partitions the wall time.
+func testGatewayTraceCampaign(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	_, _, tr := traceThroughGateway(t, `{
+		"tenant": "acl", "kind": "campaign", "cells": [
+			{"name": "cell-a", "rounds": [{"concentration_mm": 1}, {"concentration_mm": 2}]},
+			{"name": "cell-b", "rounds": [{"concentration_mm": 4}, {"concentration_mm": 8}]}
+		]}`)
+
+	for _, name := range []string{"sched.run", "campaign.round 1", "campaign.acquire", "campaign.retrieve", "campaign.analyze"} {
+		if !hasSpan(tr.Spans, name) {
+			t.Errorf("trace is missing span %q (%d spans)", name, len(tr.Spans))
+		}
+	}
+	if orphans := trace.Orphans(tr.Spans); len(orphans) != 0 {
+		t.Errorf("trace has %d orphaned spans: %v", len(orphans), orphans)
+	}
+	b := tr.Breakdown
+	if b.Wall <= 0 || b.Instrument <= 0 || b.Data <= 0 || b.Sched <= 0 {
+		t.Errorf("critical path has empty phases:\n%s", trace.RenderBreakdown(b))
+	}
+	sum := b.Instrument + b.Data + b.Analysis + b.Sched + b.Control + b.Other + b.Idle
+	if diff := sum - b.Wall; diff < -b.Wall/20 || diff > b.Wall/20 {
+		t.Errorf("segments sum to %v against wall %v:\n%s", sum, b.Wall, trace.RenderBreakdown(b))
 	}
 }
 

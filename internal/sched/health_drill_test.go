@@ -16,6 +16,7 @@ import (
 	"ice/internal/netsim"
 	"ice/internal/potentiostat"
 	"ice/internal/sched/health"
+	"ice/internal/testutil"
 	"ice/internal/workflow"
 )
 
@@ -24,7 +25,9 @@ import (
 // job: the potentiostat wedges mid-acquisition, the acquire budget
 // trips the breaker, the job checkpoint-requeues with its journal
 // intact, the fence aborts the wedged run, a recovery probe closes the
-// breaker, and the job completes exactly once.
+// breaker, and the job completes exactly once, with the quarantine,
+// recovery and requeue recorded on its trace and no lease or
+// goroutine leaked.
 func TestWedgeDrillEndToEnd(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -38,6 +41,7 @@ func TestWedgeDrillEndToEnd(t *testing.T) {
 }
 
 func wedgeDrill(t *testing.T, spec JobSpec) {
+	testutil.CheckGoroutines(t)
 	base := t.TempDir()
 	labDir := filepath.Join(base, "lab")
 	if err := os.MkdirAll(labDir, 0o755); err != nil {
@@ -173,9 +177,14 @@ func wedgeDrill(t *testing.T, spec JobSpec) {
 		t.Errorf("exactly-once violated: %d completed acquisitions, want 1", completed)
 	}
 
-	// The breaker's history shows the round trip and nothing leaked.
+	// The breaker's history shows the round trip, every instrument is
+	// back in service (the /v1/healthz quarantined count is zero), and
+	// nothing leaked.
 	sawRoundTrip := false
 	for _, ih := range s.Health().Snapshot() {
+		if ih.State != health.Closed {
+			t.Errorf("%s still %s after recovery: %+v", ih.Resource, ih.State, ih)
+		}
 		if ih.Resource == ResourceSP200 && ih.Opens >= 1 && ih.Recovered >= 1 && ih.State == health.Closed {
 			sawRoundTrip = true
 		}
@@ -185,6 +194,20 @@ func wedgeDrill(t *testing.T, spec JobSpec) {
 	}
 	if leases := s.Leases().Active(); len(leases) != 0 {
 		t.Errorf("leaked leases: %+v", leases)
+	}
+
+	// The job's trace tells the story: the quarantine, the recovery
+	// probe and the checkpoint requeue are events on its spans.
+	seen := make(map[string]bool)
+	for _, rec := range waitForRoot(t, s, final) {
+		for _, ev := range rec.Events {
+			seen[ev.Name] = true
+		}
+	}
+	for _, name := range []string{"instrument.quarantine", "instrument.recovered", "sched.requeue"} {
+		if !seen[name] {
+			t.Errorf("trace %s is missing a %s event (events seen: %v)", final.TraceID, name, seen)
+		}
 	}
 }
 

@@ -86,7 +86,9 @@ func TestTraceChaosFleetEventAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	final, err := s.WaitTerminal(t.Context(), job.ID)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	final, err := s.WaitTerminal(ctx, job.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
